@@ -1,7 +1,7 @@
 //! Hot-path microbenchmarks for the round engine (Experiment E21).
 //!
-//! Four workloads, each timed over repeated iterations with the median
-//! reported (ns/round and messages/sec):
+//! The workloads below, each timed over repeated iterations with the
+//! median reported (ns/round and messages/sec):
 //!
 //! * **flood** — all-port 1-word gossip on a torus grid: the pure
 //!   message-pump ceiling of the engine;
@@ -10,7 +10,11 @@
 //!   exactly at the inline boundary of [`lcg_congest::Msg`];
 //! * **star_elim** — the Lemma 3.1 star-elimination kernel (pure graph
 //!   computation, no rounds): tracks the non-engine side of the stack;
-//! * **framework** — the full Theorem 2.6 pipeline at 1/2/4 threads.
+//! * **framework** — the full Theorem 2.6 pipeline at 1/2/4 threads;
+//! * **decompose_grid** / **gather_walk_grid** — the framework's two big
+//!   layers alone on `grid_with_noise` (n = 10⁴ in full mode): the
+//!   adaptive decomposition, and the Lemma 2.4 charged walks that gather
+//!   every cluster to its leader.
 //!
 //! ## The in-run legacy baseline
 //!
@@ -33,6 +37,7 @@ use std::time::Instant;
 
 use lcg_congest::{ExecConfig, Model, Network, RoundStats};
 use lcg_core::framework::{run_framework, FrameworkConfig};
+use lcg_expander::{decomp, routing};
 use lcg_graph::{gen, Graph};
 use lcg_solvers::star_elim::star_elimination;
 use serde::{Serialize, Value};
@@ -396,6 +401,25 @@ fn engine_result(
     }
 }
 
+/// A row for a round-free kernel: `messages` carries a result count that
+/// doubles as a determinism check.
+fn round_free_result(name: &str, n: usize, messages: u64, median_ns: f64) -> BenchResult {
+    BenchResult {
+        name: name.to_string(),
+        n,
+        rounds: 0,
+        messages,
+        median_ns,
+        median_ns_per_round: median_ns,
+        messages_per_sec: None,
+        legacy_median_ns_per_round: None,
+        speedup_vs_legacy: None,
+        speedup_vs_t1: None,
+        modeled_allocs_per_round: None,
+        modeled_allocs_per_round_legacy: None,
+    }
+}
+
 /// Runs the full suite. `quick` shrinks sizes/iterations for CI.
 pub fn run_suite(quick: bool) -> Suite {
     let iters = if quick { 5 } else { 9 };
@@ -453,19 +477,47 @@ pub fn run_suite(quick: bool) -> Suite {
     let planar = gen::random_planar(if quick { 2_000 } else { 20_000 }, 0.5, &mut rng);
     let (star_ns, elim) = time_iters(iters, || star_elimination(&planar));
     let kept = elim.kept.iter().filter(|&&k| k).count() as u64;
+    // kept-vertex count doubles as a determinism check
+    results.push(round_free_result("star_elim", planar.n(), kept, star_ns));
+
+    // the framework's two big layers alone, on the E25 input family at
+    // the framework's ε' = 0.3 / 3: the adaptive decomposition, then the
+    // charged gather walks of every cluster (one token per member plus
+    // about the framework's out-degree share, sequential)
+    let side = if quick { 40 } else { 100 };
+    let noisy = gen::grid_with_noise(side, side, 0.02, &mut gen::seeded_rng(0xDEC0));
+    let layer_iters = 3;
+    let (decomp_ns, d) = time_iters(layer_iters, || decomp::decompose_adaptive(&noisy, 0.1));
+    results.push(round_free_result("decompose_grid", noisy.n(), d.k() as u64, decomp_ns));
+    let gather = || {
+        let mut rng = gen::seeded_rng(0x6A7);
+        let mut rounds = 0u64;
+        for c in &d.clusters {
+            let leader = *c.members.iter().max_by_key(|&&v| (noisy.degree(v), v)).expect("non-empty cluster");
+            let counts: Vec<usize> = c
+                .members
+                .iter()
+                .map(|&v| 1 + noisy.neighbor_vertices(v).filter(|&u| d.cluster_of[u] == d.cluster_of[v]).count() / 2)
+                .collect();
+            let out = routing::random_walk_routing_with_counts_exec(
+                &noisy,
+                &c.members,
+                leader,
+                &counts,
+                2_000_000,
+                &mut rng,
+                ExecConfig::sequential(),
+            );
+            assert!(out.complete(), "gather_walk_grid: a cluster walk ran out of steps");
+            rounds += out.rounds;
+        }
+        rounds
+    };
+    let (gather_ns, gather_rounds) = time_iters(layer_iters, gather);
     results.push(BenchResult {
-        name: "star_elim".to_string(),
-        n: planar.n(),
-        rounds: 0,
-        messages: kept, // kept-vertex count doubles as a determinism check
-        median_ns: star_ns,
-        median_ns_per_round: star_ns,
-        messages_per_sec: None,
-        legacy_median_ns_per_round: None,
-        speedup_vs_legacy: None,
-        speedup_vs_t1: None,
-        modeled_allocs_per_round: None,
-        modeled_allocs_per_round_legacy: None,
+        rounds: gather_rounds,
+        median_ns_per_round: gather_ns / gather_rounds.max(1) as f64,
+        ..round_free_result("gather_walk_grid", noisy.n(), 0, gather_ns)
     });
 
     // full framework at 1/2/4 threads

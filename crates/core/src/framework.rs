@@ -191,23 +191,50 @@ impl FrameworkOutcome {
     }
 }
 
-/// Runs the Theorem 2.6 pipeline on `g`.
+/// Runs the Theorem 2.6 pipeline on `g`: [`framework_decomposition`],
+/// then [`run_framework_on`] over it.
 ///
 /// # Panics
 ///
 /// Panics if `epsilon` is not in `(0, 1)` or `density_bound < 1`.
 pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
-    assert!(cfg.epsilon > 0.0 && cfg.epsilon < 1.0, "epsilon must be in (0,1)");
-    assert!(cfg.density_bound >= 1.0, "density bound must be >= 1");
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    run_framework_on(g, cfg, framework_decomposition(g, cfg))
+}
 
-    // Phase 1 (substituted): (ε', φ) decomposition with ε' = ε / t.
+/// Phase 1 (substituted): the (ε', φ) decomposition with `ε' = ε / t`,
+/// adaptive or paper-φ per [`FrameworkConfig::practical_phi`]. It draws no
+/// randomness and reads only `epsilon`, `density_bound` and
+/// `practical_phi`, so retries that change the seed or the walk budget
+/// can share one.
+///
+/// # Panics
+///
+/// As [`run_framework`].
+pub fn framework_decomposition(g: &Graph, cfg: &FrameworkConfig) -> ExpanderDecomposition {
+    check_config(cfg);
     let eps_prime = cfg.epsilon / cfg.density_bound;
-    let decomposition = if cfg.practical_phi {
+    if cfg.practical_phi {
         decomp::decompose_adaptive(g, eps_prime)
     } else {
         decomp::decompose(g, eps_prime)
-    };
+    }
+}
+
+fn check_config(cfg: &FrameworkConfig) {
+    assert!(cfg.epsilon > 0.0 && cfg.epsilon < 1.0, "epsilon must be in (0,1)");
+    assert!(cfg.density_bound >= 1.0, "density bound must be >= 1");
+}
+
+/// Phases 2–5 of the Theorem 2.6 pipeline over a given decomposition of
+/// `g` — normally [`framework_decomposition`]`(g, cfg)`, which makes this
+/// exactly [`run_framework`].
+///
+/// # Panics
+///
+/// As [`run_framework`].
+pub fn run_framework_on(g: &Graph, cfg: &FrameworkConfig, decomposition: ExpanderDecomposition) -> FrameworkOutcome {
+    check_config(cfg);
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
     let mut net = Network::with_exec(g, Model::congest(), cfg.exec);
     // The tracer is always attached: spans are how PhaseRounds is

@@ -18,7 +18,7 @@
 //! assumption) and its rounds are charged. Accounting across attempts is
 //! cumulative: the returned outcome's `stats` include every failed
 //! attempt and every detector pass, which is why — unlike a plain
-//! [`run_framework`] result — its `phases` breakdown only covers the
+//! [`crate::framework::run_framework`] result — its `phases` breakdown only covers the
 //! *final* attempt and no longer partitions `stats.rounds`.
 
 use lcg_congest::{Model, Network, RoundStats};
@@ -29,7 +29,7 @@ use lcg_graph::Graph;
 use lcg_trace::{TraceConfig, Tracer};
 
 use crate::failure;
-use crate::framework::{run_framework, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds};
+use crate::framework::{framework_decomposition, run_framework_on, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds};
 
 /// Seed stride between retry attempts (odd, so all 2^64 derived seeds are
 /// distinct for distinct attempts).
@@ -231,6 +231,8 @@ pub fn run_framework_resilient(
     let mut failures = Vec::new();
     let mut detector_rounds = 0u64;
     let mut folded_metrics: Option<Report> = None;
+    // retries change only the seed and the walk budget: decompose once
+    let decomposition = framework_decomposition(g, cfg);
     for attempt in 0..=policy.max_retries {
         let attempt_cfg = FrameworkConfig {
             seed: derived_seed(cfg.seed, attempt),
@@ -240,7 +242,7 @@ pub fn run_framework_resilient(
                 .min(cfg.max_walk_steps),
             ..cfg.clone()
         };
-        let mut outcome = run_framework(g, &attempt_cfg);
+        let mut outcome = run_framework_on(g, &attempt_cfg, decomposition.clone());
         // fold this attempt's registry on top of the failed attempts';
         // the newest report wins the profiling plane
         if let Some(mut rep) = outcome.metrics.take() {

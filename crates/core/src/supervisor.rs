@@ -53,7 +53,7 @@ use lcg_congest::{
 use lcg_graph::Graph;
 use lcg_metrics::{Registry, Report};
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
+use crate::framework::{framework_decomposition, run_framework_on, FrameworkConfig, FrameworkOutcome};
 use crate::recovery::{
     derived_seed, detect_failures, seal_recovery_metrics, singleton_outcome, RecoveryPolicy,
     RecoveryReport,
@@ -620,6 +620,10 @@ pub fn run_framework_checkpointed(
         Some(acc) => acc,
         None => FrameworkCkpt::fresh(),
     };
+    // retries change only the seed and the walk budget: decompose once,
+    // inside the first attempt this process runs (so a crash there is
+    // caught and retried like any other)
+    let mut decomposition = None;
     while acc.next_attempt <= u64::from(policy.max_retries) {
         let attempt = acc.next_attempt as u32;
         let attempt_cfg = FrameworkConfig {
@@ -632,7 +636,8 @@ pub fn run_framework_checkpointed(
         };
         let kill_now = kill == Some(attempt);
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            let outcome = run_framework(g, &attempt_cfg);
+            let decomposition = decomposition.get_or_insert_with(|| framework_decomposition(g, cfg));
+            let outcome = run_framework_on(g, &attempt_cfg, decomposition.clone());
             if kill_now {
                 // fires after the attempt's work, before any of it is
                 // committed — the lost-progress crash checkpoints absorb

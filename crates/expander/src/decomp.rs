@@ -11,7 +11,7 @@
 //! round-cost of leader election/gathering/broadcast is charged by the
 //! framework in `lcg-core`.
 
-use lcg_graph::Graph;
+use lcg_graph::{Graph, GraphBuilder};
 
 use crate::conductance;
 use crate::spectral;
@@ -135,6 +135,12 @@ impl ExpanderDecomposition {
 /// conductance computation.
 const EXACT_LIMIT: usize = 16;
 
+/// The worst-case split threshold `φ = ε / (4·log₂(m) + 4)`.
+fn paper_phi(g: &Graph, epsilon: f64) -> f64 {
+    let m = g.m().max(2) as f64;
+    epsilon / (4.0 * m.log2() + 4.0)
+}
+
 /// Computes an (ε, φ) expander decomposition with
 /// `φ = ε / (4·log₂(m) + 4)` (the `φ = Ω(ε / log n)` scale that is
 /// existentially optimal, per §2 of the paper).
@@ -157,9 +163,7 @@ const EXACT_LIMIT: usize = 16;
 /// assert!(d.cut_fraction(&g) <= 0.3);
 /// ```
 pub fn decompose(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
-    let m = g.m().max(2) as f64;
-    let phi_cut = epsilon / (4.0 * m.log2() + 4.0);
-    decompose_with_phi(g, epsilon, phi_cut)
+    decompose_with_phi(g, epsilon, paper_phi(g, epsilon))
 }
 
 /// Adaptive expander decomposition: finds the **largest** split threshold
@@ -175,20 +179,20 @@ pub fn decompose(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
 /// granularity. At laptop sizes the conservative φ keeps most sparse
 /// graphs in one cluster; this is the variant the framework uses so the
 /// multi-cluster machinery is actually exercised (see EXPERIMENTS.md E1).
+///
+/// One [`SplitTree`] serves the whole halving ladder: each φ is a pruning
+/// of the tree the first (largest) φ expanded.
 pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
+    let mut tree = SplitTree::new(g);
+    let floor = paper_phi(g, epsilon);
     let mut phi = epsilon / 2.0;
-    let floor = {
-        let m = g.m().max(2) as f64;
-        epsilon / (4.0 * m.log2() + 4.0)
-    };
     loop {
-        let d = decompose_with_phi(g, epsilon, phi);
-        if g.m() == 0 || (d.cut_edges.len() as f64) <= epsilon * g.m() as f64 {
-            return d;
+        if g.m() == 0 || (tree.replay(phi).1 as f64) <= epsilon * g.m() as f64 {
+            return tree.prune(epsilon, phi);
         }
         phi /= 2.0;
         if phi < floor {
-            return decompose_with_phi(g, epsilon, floor);
+            return tree.prune(epsilon, floor);
         }
     }
 }
@@ -196,93 +200,257 @@ pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
 /// Expander decomposition with an explicit split threshold `phi_cut`:
 /// recursively split along any sweep cut of conductance `< phi_cut`.
 pub fn decompose_with_phi(g: &Graph, epsilon: f64, phi_cut: f64) -> ExpanderDecomposition {
-    let n = g.n();
-    let mut cluster_of = vec![usize::MAX; n];
-    let mut clusters = Vec::new();
-    // Work queue of vertex sets; connected components first.
-    let (comp, k) = g.connected_components();
-    let mut queue: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for v in 0..n {
-        queue[comp[v]].push(v);
+    SplitTree::new(g).prune(epsilon, phi_cut)
+}
+
+/// The root node: the whole vertex set, split into connected components.
+const ROOT: usize = 0;
+
+/// A cluster node of one replay, with its (spectral, sweep) certificates
+/// when it is an unsplit cut node.
+type Leaf = (usize, Option<(f64, f64)>);
+
+/// The recursive sweep-cut split tree of one graph, expanded lazily.
+///
+/// A vertex set's spectral sweep cut does not depend on the split
+/// threshold, so the recursion at any φ is this one tree pruned at every
+/// cut node whose conductance is `≥ φ`. [`SplitTree::prune`] replays the
+/// construction's LIFO work stack over the tree (components first, then
+/// the cut's two sides, the second side popped first), so cluster ids,
+/// members and certificates are exactly those of a from-scratch recursion
+/// at that φ. A node is expanded — induced subgraph, λ₂, sweep cut — the
+/// first time a replay visits it; later replays at smaller φ only revisit
+/// expanded nodes.
+///
+/// Member sets are ranges of one vertex permutation: expanding a node
+/// stably partitions its range into its children's ranges, so the tree
+/// costs `O(n + nodes)` memory and every range is sorted until its node
+/// is expanded.
+///
+/// # Examples
+///
+/// ```
+/// use lcg_graph::gen;
+/// use lcg_expander::decomp::{decompose_with_phi, SplitTree};
+///
+/// let g = gen::grid(8, 8);
+/// let mut tree = SplitTree::new(&g);
+/// let coarse = tree.prune(0.3, 0.05);
+/// let fine = tree.prune(0.3, 0.2);
+/// assert!(coarse.k() <= fine.k());
+/// assert_eq!(fine.cluster_of, decompose_with_phi(&g, 0.3, 0.2).cluster_of);
+/// ```
+pub struct SplitTree<'g> {
+    g: &'g Graph,
+    /// Vertex permutation; node `i` owns `perm[nodes[i].range]`.
+    perm: Vec<usize>,
+    nodes: Vec<Node>,
+    /// Scratch host → local id map, `u32::MAX` outside the set at hand.
+    local: Vec<u32>,
+}
+
+struct Node {
+    range: std::ops::Range<usize>,
+    kind: Kind,
+}
+
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Not yet visited by any replay.
+    Unexpanded,
+    /// At most two vertices or no edges: always a cluster.
+    Trivial,
+    /// Disconnected: always splits into its components, which are the
+    /// nodes `first..end` in component order.
+    Components { first: usize, end: usize },
+    /// Connected with a sweep cut: splits into `children` (the cut side,
+    /// then the rest) iff `conductance < φ`.
+    Cut {
+        lower: f64,
+        conductance: f64,
+        cut_edges: usize,
+        children: [usize; 2],
+    },
+}
+
+impl<'g> SplitTree<'g> {
+    /// Starts the tree of `g`: the root and one unexpanded node per
+    /// connected component. `O(n + m)`; no spectral work happens here.
+    pub fn new(g: &'g Graph) -> SplitTree<'g> {
+        let n = g.n();
+        let mut tree = SplitTree {
+            g,
+            perm: (0..n).collect(),
+            nodes: vec![Node::new(0..n)],
+            local: vec![u32::MAX; n],
+        };
+        let (comp, k) = g.connected_components();
+        let first = tree.partition(0..n, k, |i| comp[i]);
+        tree.nodes[ROOT].kind = Kind::Components { first, end: first + k };
+        tree
     }
-    while let Some(members) = queue.pop() {
-        let (sub, map) = g.induced_subgraph(&members);
-        // recursion may disconnect the subgraph only via explicit cuts,
-        // but guard anyway: split by components if disconnected.
-        let (scomp, sk) = sub.connected_components();
-        if sk > 1 {
-            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); sk];
-            for v in 0..sub.n() {
-                parts[scomp[v]].push(map[v]);
+
+    /// The decomposition at split threshold `phi_cut`, identical to the
+    /// recursive construction at that threshold.
+    pub fn prune(&mut self, epsilon: f64, phi_cut: f64) -> ExpanderDecomposition {
+        let (leaves, _) = self.replay(phi_cut);
+        let mut cluster_of = vec![usize::MAX; self.g.n()];
+        let mut clusters = Vec::with_capacity(leaves.len());
+        for (id, certs) in leaves {
+            let info = self.cluster_info(id, certs);
+            for &v in &info.members {
+                cluster_of[v] = clusters.len();
             }
-            queue.extend(parts);
-            continue;
+            clusters.push(info);
         }
-        if sub.n() <= 2 || sub.m() == 0 {
-            finalize_cluster(&mut clusters, &mut cluster_of, members, &sub, None);
-            continue;
+        let cut_edges: Vec<usize> = self
+            .g
+            .edges()
+            .filter(|&(_, u, v)| cluster_of[u] != cluster_of[v])
+            .map(|(e, _, _)| e)
+            .collect();
+        ExpanderDecomposition {
+            cluster_of,
+            clusters,
+            cut_edges,
+            phi_cut,
+            epsilon,
         }
-        let spec = spectral::lambda2(&sub, 1e-9, 4_000);
-        let cut = sweep::sweep_cut(&sub, &spec.sweep_values(&sub))
-            .expect("connected graph with >= 1 edge has a sweep cut");
-        if cut.conductance < phi_cut {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for (v, &host) in map.iter().enumerate().take(sub.n()) {
-                if cut.in_s[v] {
-                    a.push(host);
-                } else {
-                    b.push(host);
+    }
+
+    /// Replays the LIFO work stack at `phi_cut`: the cluster nodes in
+    /// cluster-id order with their (spectral, sweep) certificates, and the
+    /// number of inter-cluster edges. Every such edge is separated by
+    /// exactly one taken cut (components share no edge), so the count is
+    /// the sum of the taken cuts' sizes.
+    fn replay(&mut self, phi_cut: f64) -> (Vec<Leaf>, usize) {
+        let mut leaves = Vec::new();
+        let mut cut_count = 0usize;
+        let mut stack = vec![ROOT];
+        while let Some(id) = stack.pop() {
+            self.expand(id);
+            match self.nodes[id].kind {
+                Kind::Unexpanded => unreachable!("expand() leaves no node unexpanded"),
+                Kind::Trivial => leaves.push((id, None)),
+                Kind::Components { first, end } => stack.extend(first..end),
+                Kind::Cut {
+                    conductance,
+                    cut_edges,
+                    children,
+                    ..
+                } if conductance < phi_cut => {
+                    cut_count += cut_edges;
+                    stack.extend(children);
                 }
+                Kind::Cut { lower, conductance, .. } => leaves.push((id, Some((lower, conductance)))),
             }
-            queue.push(a);
-            queue.push(b);
-        } else {
-            finalize_cluster(
-                &mut clusters,
-                &mut cluster_of,
-                members,
-                &sub,
-                Some((spec.conductance_lower_bound(), cut.conductance)),
-            );
         }
+        (leaves, cut_count)
     }
-    let cut_edges: Vec<usize> = g
-        .edges()
-        .filter(|&(_, u, v)| cluster_of[u] != cluster_of[v])
-        .map(|(e, _, _)| e)
-        .collect();
-    ExpanderDecomposition {
-        cluster_of,
-        clusters,
-        cut_edges,
-        phi_cut,
-        epsilon,
+
+    /// Computes a node's kind on first visit.
+    fn expand(&mut self, id: usize) {
+        if !matches!(self.nodes[id].kind, Kind::Unexpanded) {
+            return;
+        }
+        let range = self.nodes[id].range.clone();
+        let sub = induced(self.g, &self.perm[range.clone()], &mut self.local);
+        // a cut side may be disconnected: split it by components first
+        let (scomp, sk) = sub.connected_components();
+        let kind = if sk > 1 {
+            let first = self.partition(range, sk, |i| scomp[i]);
+            Kind::Components { first, end: first + sk }
+        } else if sub.n() <= 2 || sub.m() == 0 {
+            Kind::Trivial
+        } else {
+            let spec = spectral::lambda2(&sub, 1e-9, 4_000);
+            let cut = sweep::sweep_cut(&sub, &spec.sweep_values(&sub))
+                .expect("connected graph with >= 1 edge has a sweep cut");
+            let first = self.partition(range, 2, |i| usize::from(!cut.in_s[i]));
+            Kind::Cut {
+                lower: spec.conductance_lower_bound(),
+                conductance: cut.conductance,
+                cut_edges: cut.cut_edges,
+                children: [first, first + 1],
+            }
+        };
+        self.nodes[id].kind = kind;
+    }
+
+    /// Stably partitions `perm[range]` into `parts` consecutive child
+    /// ranges by `part_of(local index)`, appends one node per part, and
+    /// returns the first child's id.
+    fn partition(&mut self, range: std::ops::Range<usize>, parts: usize, part_of: impl Fn(usize) -> usize) -> usize {
+        let mut bounds = vec![0usize; parts + 1];
+        for i in 0..range.len() {
+            bounds[part_of(i) + 1] += 1;
+        }
+        for p in 0..parts {
+            bounds[p + 1] += bounds[p];
+        }
+        let old = self.perm[range.clone()].to_vec();
+        let mut fill = bounds.clone();
+        for (i, v) in old.into_iter().enumerate() {
+            let p = part_of(i);
+            self.perm[range.start + fill[p]] = v;
+            fill[p] += 1;
+        }
+        let first = self.nodes.len();
+        for w in bounds.windows(2) {
+            self.nodes.push(Node::new(range.start + w[0]..range.start + w[1]));
+        }
+        first
+    }
+
+    /// The cluster a node stands for: sorted members, the exact
+    /// conductance when small enough, and the given certificates.
+    fn cluster_info(&mut self, id: usize, spectral_and_sweep: Option<(f64, f64)>) -> ClusterInfo {
+        let mut members = self.perm[self.nodes[id].range.clone()].to_vec();
+        members.sort_unstable();
+        let phi_exact = if members.len() <= EXACT_LIMIT {
+            let sub = induced(self.g, &members, &mut self.local);
+            conductance::exact_conductance(&sub).map(|(phi, _)| phi)
+        } else {
+            None
+        };
+        ClusterInfo {
+            members,
+            phi_exact,
+            phi_spectral_lower: spectral_and_sweep.map(|(l, _)| l),
+            sweep_upper: spectral_and_sweep.map(|(_, u)| u),
+        }
     }
 }
 
-fn finalize_cluster(
-    clusters: &mut Vec<ClusterInfo>,
-    cluster_of: &mut [usize],
-    mut members: Vec<usize>,
-    sub: &Graph,
-    spectral_and_sweep: Option<(f64, f64)>,
-) {
-    members.sort_unstable();
-    let id = clusters.len();
-    for &v in &members {
-        cluster_of[v] = id;
+impl Node {
+    fn new(range: std::ops::Range<usize>) -> Node {
+        Node {
+            range,
+            kind: Kind::Unexpanded,
+        }
     }
-    let phi_exact = if sub.n() <= EXACT_LIMIT {
-        conductance::exact_conductance(sub).map(|(phi, _)| phi)
-    } else {
-        None
-    };
-    clusters.push(ClusterInfo {
-        members,
-        phi_exact,
-        phi_spectral_lower: spectral_and_sweep.map(|(l, _)| l),
-        sweep_upper: spectral_and_sweep.map(|(_, u)| u),
-    });
+}
+
+/// `G[members]` with local ids in `members` order — the graph
+/// `Graph::induced_subgraph` builds, in `O(vol(members))` instead of
+/// `O(n + m)`. `local` must be all `u32::MAX` and is left that way.
+fn induced(g: &Graph, members: &[usize], local: &mut [u32]) -> Graph {
+    for (i, &v) in members.iter().enumerate() {
+        local[v] = i as u32;
+    }
+    let mut b = GraphBuilder::new(members.len());
+    for (i, &v) in members.iter().enumerate() {
+        for u in g.neighbor_vertices(v) {
+            let j = local[u];
+            if j != u32::MAX && (i as u32) < j {
+                b.add_edge(i, j as usize);
+            }
+        }
+    }
+    for &v in members {
+        local[v] = u32::MAX;
+    }
+    b.build()
 }
 
 #[cfg(test)]

@@ -101,16 +101,58 @@ pub fn random_walk_routing_with_counts(
 /// of `(master, t)` — independent of evaluation order and thread count.
 struct Token {
     pos: usize,
-    alive: bool,
     rng: ChaCha8Rng,
 }
 
-/// One step of one token: `None` = stay (lazy), `Some((edge, dest))` = the
-/// chosen crossing. Pure per-token computation — this is the part the
-/// engine fans out across worker threads.
+/// Per-edge bookkeeping of one walk over the sub graph: the current
+/// step's loads, of which only the `touched` entries are non-zero, and the
+/// cumulative 2-word messages per edge when tracked (empty otherwise).
+struct EdgeTally {
+    load: Vec<usize>,
+    touched: Vec<usize>,
+    step_max: usize,
+    words: Vec<u64>,
+}
+
+impl EdgeTally {
+    fn new(m: usize, track_edges: bool) -> EdgeTally {
+        EdgeTally {
+            load: vec![0; m],
+            touched: Vec::new(),
+            step_max: 0,
+            words: if track_edges { vec![0; m] } else { Vec::new() },
+        }
+    }
+
+    /// One token crossing sub edge `e` in the current step.
+    #[inline]
+    fn charge(&mut self, e: usize) {
+        if self.load[e] == 0 {
+            self.touched.push(e);
+        }
+        self.load[e] += 1;
+        self.step_max = self.step_max.max(self.load[e]);
+        if !self.words.is_empty() {
+            self.words[e] += 2; // one 2-word message per crossing
+        }
+    }
+
+    /// Closes the step: returns its max edge load and zeroes only the
+    /// entries the step touched.
+    fn end_step(&mut self) -> usize {
+        for e in self.touched.drain(..) {
+            self.load[e] = 0;
+        }
+        std::mem::take(&mut self.step_max)
+    }
+}
+
+/// One step of one live token: `None` = stay (lazy), `Some((edge, dest))`
+/// = the chosen crossing. Pure per-token computation — this is the part
+/// the engine fans out across worker threads.
 #[inline]
 fn token_step(sub: &Graph, tok: &mut Token) -> Option<(usize, usize)> {
-    if !tok.alive || tok.rng.gen_bool(0.5) {
+    if tok.rng.gen_bool(0.5) {
         return None;
     }
     let d = sub.degree(tok.pos);
@@ -118,11 +160,7 @@ fn token_step(sub: &Graph, tok: &mut Token) -> Option<(usize, usize)> {
         return None;
     }
     let k = tok.rng.gen_range(0..d);
-    let (w, e) = sub
-        .neighbors(tok.pos)
-        .nth(k)
-        .expect("k < degree(pos) by construction");
-    Some((e, w))
+    Some((sub.edge_id_row(tok.pos)[k] as usize, sub.neighbor_row(tok.pos)[k] as usize))
 }
 
 /// [`random_walk_routing_with_counts`] with an explicit [`ExecConfig`]:
@@ -227,38 +265,38 @@ fn walk_routing_core(
         .position(|&v| v == leader)
         .expect("leader must be a cluster member");
     let n = sub.n();
-    // `map` preserves the order of (deduplicated) `members`, so counts
-    // line up with local ids after the same dedup; recompute defensively.
-    let count_of = |local: usize| -> usize {
-        let orig = map[local];
-        members
-            .iter()
-            .position(|&v| v == orig)
-            .map(|i| counts[i])
-            .unwrap_or(0)
-    };
+    // `map` is `members` deduplicated in order, so one forward pass pairs
+    // every local id with the count of its first occurrence.
+    let mut local_count = vec![0usize; n];
+    let mut next = 0usize;
+    for (&v, &c) in members.iter().zip(counts) {
+        if next < n && map[next] == v {
+            local_count[next] = c;
+            next += 1;
+        }
+    }
     let master: u64 = rng.gen();
-    // token states; tokens at the leader are absorbed immediately
     let mut tokens: Vec<Token> = Vec::new();
-    for v in 0..n {
-        for _ in 0..count_of(v) {
+    for (v, &c) in local_count.iter().enumerate() {
+        for _ in 0..c {
             let t = tokens.len() as u64;
             tokens.push(Token {
                 pos: v,
-                alive: v != leader_local,
                 rng: ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E3779B97F4A7C15)),
             });
         }
     }
     let total = tokens.len();
-    let mut delivered = tokens.iter().filter(|t| !t.alive).count();
+    // Only live tokens step: indices in token order, absorbed and killed
+    // tokens dropped as they leave. Tokens at the leader are absorbed at
+    // launch.
+    let mut live: Vec<usize> = (0..total).filter(|&t| tokens[t].pos != leader_local).collect();
+    let mut delivered = total - live.len();
     let mut lost = 0usize;
     let mut rounds = 0u64;
     let mut steps = 0usize;
     let mut max_edge_load = 0usize;
-    let mut edge_load = vec![0usize; sub.m()];
-    // cumulative 2-word messages per sub edge (only when tracked)
-    let mut edge_words: Vec<u64> = if track_edges { vec![0; sub.m()] } else { Vec::new() };
+    let mut tally = EdgeTally::new(sub.m(), track_edges);
     // host edge id per sub edge (only needed to key fault decisions)
     let host_edge: Vec<usize> = if faults.is_some() {
         let mut h = vec![usize::MAX; sub.m()];
@@ -270,6 +308,26 @@ fn walk_routing_core(
         h
     } else {
         Vec::new()
+    };
+    // Lands a token's crossing of sub edge `e` into `w` in 1-based walk
+    // step `step`, counting it as delivered or lost when it leaves the
+    // walk; returns whether it is still live. Every update is a pure
+    // function of `(step, move, token)`: fault coins key on the 0-based
+    // step and the host edge, never on visiting order.
+    let land = |step: usize, tok: &mut Token, (e, w): (usize, usize), delivered: &mut usize, lost: &mut usize| {
+        if let Some(f) = faults {
+            // the crossing consumed the edge's bandwidth either way
+            if f.kills_message((step - 1) as u64, host_edge[e], map[tok.pos], map[w]) {
+                *lost += 1;
+                return false;
+            }
+        }
+        tok.pos = w;
+        if w == leader_local {
+            *delivered += 1;
+            return false;
+        }
+        true
     };
     // A token step is an order of magnitude cheaper than a vertex round
     // (one RNG draw and a couple of table reads vs a full degree sweep),
@@ -283,131 +341,87 @@ fn walk_routing_core(
         // (`pool::run_batch`) — workers spawn once, own their token chunk
         // across every step, and park on a rendezvous between steps.
         //
-        // Each step's job carries the chunk's move buffer out and back.
-        // Workers roll *and apply* their tokens' moves (position,
-        // absorption, fault kills): every per-token update is a pure
-        // function of `(step, move, token)` — it never reads the shared
-        // edge tables — so applying it on the worker is bit-identical to
-        // the sequential token-order merge. The leader then sweeps the
-        // returned moves in token order for the shared bookkeeping
-        // (per-step edge loads, max congestion, traced words), which is
-        // the part that genuinely needs global order.
+        // Each step's job carries the chunk's live list and crossing
+        // buffer out and back. Workers roll *and land* their live tokens'
+        // moves (position, absorption, fault kills) — pure per-token
+        // updates that never read the shared edge tables — and the leader
+        // then charges the returned crossings, chunk by chunk, to the
+        // per-step edge loads and traced words.
+        #[derive(Default)]
         struct WalkJob {
             /// 1-based step counter (fault coins key on `step - 1`).
             step: usize,
-            /// The chunk's move buffer, refilled by the worker.
-            moves: Vec<Option<(usize, usize)>>,
+            /// Chunk-local indices of the chunk's live tokens, in order.
+            live: Vec<usize>,
+            /// Sub edges crossed this step, in token order.
+            crossed: Vec<usize>,
             /// Tokens of this chunk absorbed at the leader this step.
             delivered: usize,
             /// Tokens of this chunk destroyed by the fault plan this step.
             lost: usize,
         }
-        let mut mv_parts: Vec<Vec<Option<(usize, usize)>>> =
-            chunks.iter().map(|r| vec![None; r.len()]).collect();
+        let mut jobs: Vec<WalkJob> = chunks
+            .iter()
+            .map(|r| WalkJob {
+                live: live.iter().filter(|t| r.contains(t)).map(|t| t - r.start).collect(),
+                ..WalkJob::default()
+            })
+            .collect();
         let sub = &sub;
-        let (map, host_edge) = (&map, &host_edge);
         let worker = |_w: usize, _r: std::ops::Range<usize>, toks: &mut [Token], mut job: WalkJob| {
-            job.delivered = 0;
-            job.lost = 0;
-            for (tok, mv) in toks.iter_mut().zip(job.moves.iter_mut()) {
-                *mv = token_step(sub, tok);
-                if let Some((e, w)) = *mv {
-                    if let Some(f) = faults {
-                        // the crossing consumed the edge's bandwidth either
-                        // way (the leader still charges it); adjudicate the
-                        // token's survival keyed by the 0-based walk step
-                        if f.kills_message((job.step - 1) as u64, host_edge[e], map[tok.pos], map[w]) {
-                            tok.alive = false;
-                            job.lost += 1;
-                            continue;
-                        }
-                    }
-                    tok.pos = w;
-                    if w == leader_local {
-                        tok.alive = false;
-                        job.delivered += 1;
-                    }
-                }
-            }
+            let (step, mut delivered, mut lost) = (job.step, 0, 0);
+            let crossed = &mut job.crossed;
+            crossed.clear();
+            job.live.retain(|&i| {
+                let tok = &mut toks[i];
+                let Some(mv) = token_step(sub, tok) else {
+                    return true;
+                };
+                crossed.push(mv.0);
+                land(step, tok, mv, &mut delivered, &mut lost)
+            });
+            job.delivered = delivered;
+            job.lost = lost;
             job
         };
         lcg_congest::executor::pool::run_batch(&chunks, &mut tokens, &worker, |pool| {
             while steps < max_steps && delivered + lost < total {
                 steps += 1;
-                for e in edge_load.iter_mut() {
-                    *e = 0;
-                }
-                for (i, part) in mv_parts.iter_mut().enumerate() {
-                    let job = WalkJob {
-                        step: steps,
-                        moves: std::mem::take(part),
-                        delivered: 0,
-                        lost: 0,
-                    };
+                for (i, job) in jobs.iter_mut().enumerate() {
+                    let mut job = std::mem::take(job);
+                    job.step = steps;
                     pool.dispatch(i, job);
                 }
-                for (i, part) in mv_parts.iter_mut().enumerate() {
+                for (i, slot) in jobs.iter_mut().enumerate() {
                     let job = pool.collect(i);
-                    *part = job.moves;
                     delivered += job.delivered;
                     lost += job.lost;
-                }
-                // token-order sweep over the shared edge tables
-                let mut step_max = 0usize;
-                for mv in mv_parts.iter().flat_map(|p| p.iter()) {
-                    if let Some((e, _)) = *mv {
-                        edge_load[e] += 1;
-                        step_max = step_max.max(edge_load[e]);
-                        if track_edges {
-                            edge_words[e] += 2; // one 2-word message per crossing
-                        }
+                    for &e in &job.crossed {
+                        tally.charge(e);
                     }
+                    *slot = job;
                 }
+                let step_max = tally.end_step();
                 rounds += step_max.max(1) as u64;
                 max_edge_load = max_edge_load.max(step_max);
             }
         });
     } else {
-        let mut moves: Vec<Option<(usize, usize)>> = vec![None; total];
         while steps < max_steps && delivered + lost < total {
             steps += 1;
-            for e in edge_load.iter_mut() {
-                *e = 0;
-            }
-            for (tok, mv) in tokens.iter_mut().zip(moves.iter_mut()) {
-                *mv = token_step(&sub, tok);
-            }
-            // merge: token-order sweep applies crossings to the shared tables
-            let mut step_max = 0usize;
-            for (tok, mv) in tokens.iter_mut().zip(moves.iter()) {
-                if let Some((e, w)) = *mv {
-                    edge_load[e] += 1;
-                    step_max = step_max.max(edge_load[e]);
-                    if track_edges {
-                        edge_words[e] += 2; // one 2-word message per crossing
-                    }
-                    if let Some(f) = faults {
-                        // the crossing consumed the edge's bandwidth either
-                        // way; adjudicate the token's survival keyed by the
-                        // 0-based walk step
-                        let from = tok.pos;
-                        if f.kills_message((steps - 1) as u64, host_edge[e], map[from], map[w]) {
-                            tok.alive = false;
-                            lost += 1;
-                            continue;
-                        }
-                    }
-                    tok.pos = w;
-                    if w == leader_local {
-                        tok.alive = false;
-                        delivered += 1;
-                    }
-                }
-            }
+            live.retain(|&t| {
+                let tok = &mut tokens[t];
+                let Some(mv) = token_step(&sub, tok) else {
+                    return true;
+                };
+                tally.charge(mv.0);
+                land(steps, tok, mv, &mut delivered, &mut lost)
+            });
             // Each token crossing an edge is one O(log n)-bit message; an
             // edge carries one message per round per direction, so this
             // step costs (at least) the max directed load. We charge the
             // undirected max, a faithful upper bound within a factor 2.
+            let step_max = tally.end_step();
             rounds += step_max.max(1) as u64;
             max_edge_load = max_edge_load.max(step_max);
         }
@@ -415,12 +429,12 @@ fn walk_routing_core(
     let loads = if track_edges {
         let mut loads: Vec<(usize, u64)> = sub
             .edges()
-            .filter(|&(e, _, _)| edge_words[e] > 0)
+            .filter(|&(e, _, _)| tally.words[e] > 0)
             .map(|(e, a, b)| {
                 let host = g
                     .edge_id(map[a], map[b])
                     .expect("induced-subgraph edges exist in the host graph");
-                (host, edge_words[e])
+                (host, tally.words[e])
             })
             .collect();
         loads.sort_unstable();

@@ -12,6 +12,20 @@ use locongest::congest::ExecConfig;
 use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::graph::gen;
 use locongest::metrics::Report;
+// lcg-lint: allow(C001) -- test-harness lock that orders whole test functions; never reachable from the engine
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The profiling plane samples through process-global state (the
+/// sampling switch and the executor sample sink in
+/// `lcg_metrics::profile`), and the test harness runs this file's tests
+/// on parallel threads. Every test that runs the framework holds this
+/// lock, so one run's sampling window never overlaps another's.
+// lcg-lint: allow(C001) -- serializes this file's tests, holds no data, cannot affect results
+static PROFILE_LOCK: Mutex<()> = Mutex::new(());
+
+fn serialized() -> MutexGuard<'static, ()> {
+    PROFILE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Forces `threads` workers regardless of the ambient `LCG_THREADS`,
 /// with the parallel threshold floored so small graphs still fan out.
@@ -34,6 +48,7 @@ fn metered_run(threads: usize) -> Report {
 /// deterministic JSON compared as raw bytes, profile plane live.
 #[test]
 fn deterministic_plane_is_byte_identical_across_thread_counts() {
+    let _serial = serialized();
     let reports: Vec<Report> = [1, 2, 4].iter().map(|&t| metered_run(t)).collect();
     let baseline = reports[0].deterministic_json();
     assert!(
@@ -64,6 +79,7 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
 /// on the multithreaded run, and a readable RSS high-water mark.
 #[test]
 fn profile_plane_observes_real_time_and_memory() {
+    let _serial = serialized();
     let report = metered_run(4);
     let prof = &report.profile;
     assert!(prof.wall_ns > 0, "wall clock must advance during a framework run");
@@ -88,6 +104,7 @@ fn profile_plane_observes_real_time_and_memory() {
 /// the goldens rely on.
 #[test]
 fn metrics_off_is_bit_identical_to_metrics_on() {
+    let _serial = serialized();
     let mut rng = gen::seeded_rng(77);
     let g = gen::random_planar(120, 0.5, &mut rng);
     let base = FrameworkConfig { exec: forced(2), ..FrameworkConfig::planar(0.3, 13) };
@@ -104,6 +121,7 @@ fn metrics_off_is_bit_identical_to_metrics_on() {
 /// and the deterministic registry mirrors the engine's own accounting.
 #[test]
 fn report_roundtrips_and_mirrors_round_stats() {
+    let _serial = serialized();
     let mut rng = gen::seeded_rng(77);
     let g = gen::random_planar(120, 0.5, &mut rng);
     let cfg = FrameworkConfig {
